@@ -258,8 +258,8 @@ uint32_t HnswIndex::GreedySearchLayer(std::span<const float> query,
 
 template <bool kLocked>
 void HnswIndex::SearchLayer(std::span<const float> query, uint32_t entry,
-                            size_t ef, int level,
-                            SearchScratch& scratch) const {
+                            size_t ef, int level, SearchScratch& scratch,
+                            std::span<const uint32_t> slot_map) const {
   if (++scratch.current == 0) {
     // Stamp counter wrapped; reset all marks once.
     std::fill(scratch.stamps.begin(), scratch.stamps.end(), 0);
@@ -272,15 +272,23 @@ void HnswIndex::SearchLayer(std::span<const float> query, uint32_t entry,
   candidates.clear();
   results.clear();
 
+  // hnswlib's mark-delete search: a retired node still routes the
+  // traversal (it may enter the candidate heap) but never the result heap,
+  // so the beam holds up to ef live results instead of ef minus the dead.
+  // With an empty map every node is live and the traversal is the plain one.
+  const auto live = [slot_map](uint32_t node) {
+    return slot_map.empty() || slot_map[node] != kRetiredSlot;
+  };
+
   float entry_dist = QueryDistance(query, entry, scratch);
   ++scratch.distance_evals;
   candidates.push_back({entry, entry_dist});
-  results.push_back({entry, entry_dist});
+  if (live(entry)) results.push_back({entry, entry_dist});
   scratch.stamps[entry] = stamp;
 
   while (!candidates.empty()) {
     Neighbor closest = candidates.front();
-    if (closest.distance > results.front().distance && results.size() >= ef) {
+    if (results.size() >= ef && closest.distance > results.front().distance) {
       break;  // Every remaining candidate is farther than the worst result.
     }
     std::pop_heap(candidates.begin(), candidates.end(), CloserFirst{});
@@ -315,11 +323,13 @@ void HnswIndex::SearchLayer(std::span<const float> query, uint32_t entry,
         // The closest candidate is the likely next hop; start pulling its
         // link block now.
         util::PrefetchRead(LinkBlock(neighbor, level));
-        results.push_back({neighbor, d});
-        std::push_heap(results.begin(), results.end(), FartherFirst{});
-        if (results.size() > ef) {
-          std::pop_heap(results.begin(), results.end(), FartherFirst{});
-          results.pop_back();
+        if (live(neighbor)) {
+          results.push_back({neighbor, d});
+          std::push_heap(results.begin(), results.end(), FartherFirst{});
+          if (results.size() > ef) {
+            std::pop_heap(results.begin(), results.end(), FartherFirst{});
+            results.pop_back();
+          }
         }
       }
     }
@@ -433,7 +443,8 @@ void HnswIndex::InsertNode(uint32_t node, SearchScratch& scratch) {
 
   // Beam-search insertion on each layer the node participates in.
   for (int l = std::min(level, top_level); l >= 0; --l) {
-    SearchLayer<kLocked>(query, current, config_.ef_construction, l, scratch);
+    SearchLayer<kLocked>(query, current, config_.ef_construction, l, scratch,
+                         /*slot_map=*/{});
     // A concurrent insert may already have linked back to this node, making
     // it discoverable by its own beam; never self-link.
     std::erase_if(scratch.found,
@@ -552,8 +563,22 @@ std::vector<Neighbor> HnswIndex::SearchEf(std::span<const float> query,
 std::vector<Neighbor> HnswIndex::SearchWithStats(std::span<const float> query,
                                                  size_t k, size_t ef,
                                                  SearchStats* stats) const {
+  return SearchLive(query, k, ef, /*slot_map=*/{}, /*retired=*/0, stats);
+}
+
+std::vector<Neighbor> HnswIndex::SearchLive(std::span<const float> query,
+                                            size_t k, size_t ef,
+                                            std::span<const uint32_t> slot_map,
+                                            size_t retired,
+                                            SearchStats* stats) const {
+  if (!slot_map.empty() && slot_map.size() != num_nodes_) std::abort();
+  // Nothing retired: take the unfiltered traversal.
+  if (slot_map.empty() || retired == 0) {
+    slot_map = {};
+    retired = 0;
+  }
   if (stats != nullptr) *stats = SearchStats{};
-  if (num_nodes_ == 0 || k == 0) return {};
+  if (num_nodes_ == 0 || k == 0 || retired >= num_nodes_) return {};
   if (ef == 0) ef = config_.ef_search;
   ef = std::max(ef, k);
 
@@ -586,11 +611,13 @@ std::vector<Neighbor> HnswIndex::SearchWithStats(std::span<const float> query,
   for (int l = EntryLevel(snapshot); l > 0; --l) {
     current = GreedySearchLayer<false>(q, current, l, *scratch);
   }
-  SearchLayer<false>(q, current, ef, 0, *scratch);
+  // The upper layers only route the descent, so retired nodes are filtered
+  // on layer 0 alone.
+  SearchLayer<false>(q, current, ef, 0, *scratch, slot_map);
   std::vector<Neighbor>& found = (*scratch).found;
   if (quantized) {
-    // Exact rerank: re-score the top rerank * k approximate candidates
-    // against the retained fp32 originals, then keep the best k.
+    // Exact rerank: re-score the top rerank * k approximate (live)
+    // candidates against the retained fp32 originals, then keep the best k.
     if (found.size() > rerank * k) found.resize(rerank * k);
     for (Neighbor& n : found) {
       n.distance = NodeDistance(q, static_cast<uint32_t>(n.id));

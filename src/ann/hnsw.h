@@ -114,6 +114,19 @@ class HnswIndex : public VectorIndex {
                                         size_t ef,
                                         SearchStats* stats) const override;
 
+  /// Filtered search without over-fetching: retired nodes route the layer-0
+  /// beam but never enter its result set, so the beam stops once it holds
+  /// max(ef, k) live results and the closest unexpanded candidate is farther
+  /// than the worst of them. The quantized rerank pool is drawn from live
+  /// results only. SearchWithStats is this call with an empty map, and a
+  /// map with nothing retired takes that same unfiltered traversal. A
+  /// non-empty map must hold size() entries (aborts otherwise).
+  std::vector<Neighbor> SearchLive(std::span<const float> query, size_t k,
+                                   size_t ef,
+                                   std::span<const uint32_t> slot_map,
+                                   size_t retired,
+                                   SearchStats* stats) const override;
+
   /// Deep copy: flat slabs, vector payload, entry word, and the level-RNG
   /// state (the clone draws the same future levels the original would).
   /// Fresh mutexes and an empty scratch pool. Only reads this index, so it
@@ -254,10 +267,12 @@ class HnswIndex : public VectorIndex {
 
   /// Beam search on `level` with beam width `ef`; leaves up to `ef`
   /// (node, distance) pairs in scratch.found, sorted ascending by
-  /// (distance, id).
+  /// (distance, id). Nodes `slot_map` retires are traversed but never
+  /// collected; an empty map (every insert) collects every node.
   template <bool kLocked>
   void SearchLayer(std::span<const float> query, uint32_t entry, size_t ef,
-                   int level, SearchScratch& scratch) const;
+                   int level, SearchScratch& scratch,
+                   std::span<const uint32_t> slot_map) const;
 
   /// HNSW Algorithm 4: keeps candidates that are closer to the query than to
   /// every already-kept neighbor (diversity pruning), up to `max_count`,

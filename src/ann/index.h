@@ -1,7 +1,9 @@
 #ifndef MULTIEM_ANN_INDEX_H_
 #define MULTIEM_ANN_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -17,6 +19,10 @@ class ThreadPool;
 }  // namespace multiem::util
 
 namespace multiem::ann {
+
+/// Slot-map entry of a retired index slot (see VectorIndex::SearchLive): the
+/// stored vector stays in the index but must never be returned.
+inline constexpr uint32_t kRetiredSlot = UINT32_MAX;
 
 /// One search hit: index of the stored vector and its distance to the query.
 struct Neighbor {
@@ -108,6 +114,36 @@ class VectorIndex {
     (void)ef;
     if (stats != nullptr) *stats = SearchStats{};
     return Search(query, k);
+  }
+
+  /// SearchWithStats restricted to live slots: `slot_map[id] ==
+  /// kRetiredSlot` marks stored vector `id` as retired, and no retired id is
+  /// ever returned. `retired` must be the number of such entries. An empty
+  /// map (or `retired` == 0) means every slot is live; a non-empty map must
+  /// hold size() entries. Returns up to min(k, live) hits, sorted like
+  /// Search. Must be as thread-safe as Search.
+  ///
+  /// This default over-fetches `k + retired` hits through SearchWithStats
+  /// and drops the retired ones, so it is correct for any implementation,
+  /// but an approximate index then searches with a beam widened by the
+  /// retired count. Indexes that can skip retired slots inside their own
+  /// traversal (HnswIndex) override it. For an exact scan (BruteForceIndex)
+  /// the default is already exact and costs only the retired rows' scoring.
+  virtual std::vector<Neighbor> SearchLive(std::span<const float> query,
+                                           size_t k, size_t ef,
+                                           std::span<const uint32_t> slot_map,
+                                           size_t retired,
+                                           SearchStats* stats) const {
+    if (slot_map.empty() || retired == 0) {
+      return SearchWithStats(query, k, ef, stats);
+    }
+    std::vector<Neighbor> hits =
+        SearchWithStats(query, std::min(k + retired, size()), ef, stats);
+    std::erase_if(hits, [slot_map](const Neighbor& n) {
+      return slot_map[n.id] == kRetiredSlot;
+    });
+    if (hits.size() > k) hits.resize(k);
+    return hits;
   }
 
   /// Deep copy of the index, or nullptr when the implementation does not

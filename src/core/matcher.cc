@@ -254,9 +254,6 @@ Matcher::Snapshot::MatchRecords(const table::Table& records,
   const ServingState& s = *state_;
   const ann::VectorIndex& index = *s.index;
   const bool mapped = !s.slot_to_item.empty();
-  // Oversample by the retired-slot count so k live hits survive the filter
-  // (AddTable compacts before dead slots exceed 25%, so this stays small).
-  const size_t want = std::min(options.k + s.dead_slots, index.size());
   const bool collect = options.observer != nullptr;
 
   std::vector<std::vector<RecordMatch>> matches(queries.num_rows());
@@ -265,20 +262,16 @@ Matcher::Snapshot::MatchRecords(const table::Table& records,
       options.pool, queries.num_rows(),
       [&](size_t row) {
         ann::SearchStats search_stats;
-        const std::vector<ann::Neighbor> hits = index.SearchWithStats(
-            queries.Row(row), want, options.ef_search,
-            collect ? &search_stats : nullptr);
+        // The index skips retired slots (their items' centroids moved)
+        // itself, so every hit is live and maps to an item.
+        const std::vector<ann::Neighbor> hits = index.SearchLive(
+            queries.Row(row), options.k, options.ef_search, s.slot_to_item,
+            s.dead_slots, collect ? &search_stats : nullptr);
         std::vector<RecordMatch>& out = matches[row];
-        out.reserve(std::min(options.k, hits.size()));
+        out.reserve(hits.size());
         for (const ann::Neighbor& hit : hits) {
-          if (out.size() == options.k) break;
-          size_t item = hit.id;
-          if (mapped) {
-            const uint32_t live = s.slot_to_item[hit.id];
-            if (live == kDeadSlot) continue;  // retired slot: centroid moved
-            item = live;
-          }
-          out.push_back({item, hit.distance});
+          out.push_back({mapped ? s.slot_to_item[hit.id] : hit.id,
+                         hit.distance});
         }
         // Slot->item remapping can permute ties; restore the documented
         // (distance, item) order.

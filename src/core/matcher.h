@@ -175,8 +175,9 @@ class Matcher {
   class Snapshot;
 
   /// Sentinel in a slot->item map for a retired index slot (its vector
-  /// belongs to an item whose centroid has since moved).
-  static constexpr uint32_t kDeadSlot = UINT32_MAX;
+  /// belongs to an item whose centroid has since moved). The map is passed
+  /// to VectorIndex::SearchLive as is, so this is the index's own marker.
+  static constexpr uint32_t kDeadSlot = ann::kRetiredSlot;
 
   Matcher(Matcher&&) = default;
   Matcher& operator=(Matcher&&) = default;

@@ -115,9 +115,13 @@ class MultiEmPipeline {
   MultiEmPipeline& operator=(const MultiEmPipeline&) = delete;
 
   /// Matches `tables` (>= 2 tables, unique names, non-empty, identical
-  /// schemas). Deterministic given config.seed and config.num_threads == 1;
-  /// parallel runs produce the same tuples (the merge schedule is
-  /// seed-driven, not thread-driven).
+  /// schemas). Deterministic given config.seed and config.num_threads == 1.
+  /// Parallel runs walk the same seed-driven merge schedule, but an HNSW
+  /// side index past HnswConfig::parallel_batch_min rows is built by
+  /// concurrent inserts in nondeterministic order, so two parallel runs may
+  /// differ in a few tuples (shopee-20 at 2 threads gives 1915-1920).
+  /// Parallel runs are bit-identical to serial only when every merge stays
+  /// below that threshold or the index is "brute_force".
   util::Result<PipelineResult> Run(
       const std::vector<table::Table>& tables) const;
 

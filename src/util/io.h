@@ -250,9 +250,12 @@ class ByteReader {
   Status Take(size_t n, const uint8_t** out);
 
   /// Decodes `count` wire elements at `p` into `out` (one memcpy on
-  /// little-endian hosts, an element loop elsewhere).
+  /// little-endian hosts, an element loop elsewhere). An empty array decodes
+  /// to nothing; `out` (an empty vector's data()) may then be null, which
+  /// memcpy must never see.
   template <typename T>
   static void DecodeArray(const uint8_t* p, size_t count, T* out) {
+    if (count == 0) return;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, p, count * sizeof(T));
     } else {

@@ -1,10 +1,13 @@
 // Unit + property tests for src/ann: metrics, brute force, HNSW (recall vs
-// exact oracle across metrics/sizes/parameters), mutual top-K (Eq. 1).
+// exact oracle across metrics/sizes/parameters), live-slot (filtered) search,
+// mutual top-K (Eq. 1).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <unordered_set>
 
 #include "ann/brute_force.h"
@@ -385,6 +388,242 @@ TEST(BruteForceTest, ParallelAddBatchMatchesSerial) {
       EXPECT_EQ(a[i].id, b[i].id);
       EXPECT_EQ(a[i].distance, b[i].distance);  // bit-identical build
     }
+  }
+}
+
+// ------------------------------------------------- Live-slot search --
+
+// Slot map retiring every fourth-ish slot (a seeded 25% draw), the shape a
+// serving session carries after incremental ingests.
+std::vector<uint32_t> RetireQuarter(size_t n, uint64_t seed, size_t* retired) {
+  util::Rng rng(seed);
+  std::vector<uint32_t> slot_map(n);
+  *retired = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool dead = rng.UniformDouble() < 0.25;
+    slot_map[i] = dead ? kRetiredSlot : static_cast<uint32_t>(i);
+    *retired += dead ? 1 : 0;
+  }
+  return slot_map;
+}
+
+class HnswSearchLiveTest : public ::testing::TestWithParam<Quantization> {};
+
+TEST_P(HnswSearchLiveTest, NeverReturnsRetiredAndHoldsRecall) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kDim = 32;
+  constexpr size_t kQueries = 60;
+  constexpr size_t kK = 10;
+  auto data = RandomVectors(kN, kDim, 41);
+  auto queries = RandomVectors(kQueries, kDim, 42);
+  HnswConfig config;
+  config.quantization = GetParam();
+  HnswIndex hnsw(kDim, Metric::kCosine, config);
+  BruteForceIndex exact(kDim, Metric::kCosine);
+  hnsw.AddBatch(data);
+  exact.AddBatch(data);
+  size_t retired = 0;
+  const std::vector<uint32_t> slot_map = RetireQuarter(kN, 43, &retired);
+  ASSERT_GT(retired, kN / 5);
+  ASSERT_LT(retired, kN / 3);
+
+  size_t found = 0;
+  for (size_t q = 0; q < kQueries; ++q) {
+    const auto hits =
+        hnsw.SearchLive(queries.Row(q), kK, 0, slot_map, retired, nullptr);
+    ASSERT_EQ(hits.size(), kK);
+    for (const Neighbor& h : hits) {
+      ASSERT_NE(slot_map[h.id], kRetiredSlot) << "query " << q;
+    }
+    // Exact oracle over the live rows only.
+    std::unordered_set<size_t> truth;
+    for (const Neighbor& h : exact.SearchLive(queries.Row(q), kK, 0, slot_map,
+                                              retired, nullptr)) {
+      truth.insert(h.id);
+    }
+    for (const Neighbor& h : hits) found += truth.count(h.id);
+  }
+  const double recall = static_cast<double>(found) / (kQueries * kK);
+  EXPECT_GE(recall, 0.95) << QuantizationName(GetParam());
+}
+
+TEST_P(HnswSearchLiveTest, FiltersInsideTheBeamInsteadOfWideningIt) {
+  constexpr size_t kN = 3000;
+  constexpr size_t kDim = 32;
+  auto data = RandomVectors(kN, kDim, 41);
+  auto queries = RandomVectors(20, kDim, 44);
+  HnswConfig config;
+  config.quantization = GetParam();
+  HnswIndex hnsw(kDim, Metric::kCosine, config);
+  hnsw.AddBatch(data);
+  size_t retired = 0;
+  const std::vector<uint32_t> slot_map = RetireQuarter(kN, 43, &retired);
+  size_t filtered_evals = 0, overfetch_evals = 0;
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    SearchStats filtered, overfetch;
+    hnsw.SearchLive(queries.Row(q), 10, 0, slot_map, retired, &filtered);
+    hnsw.VectorIndex::SearchLive(queries.Row(q), 10, 0, slot_map, retired,
+                                 &overfetch);
+    filtered_evals += filtered.distance_evals;
+    overfetch_evals += overfetch.distance_evals;
+  }
+  // A beam of ef live results costs well under one widened by ~750 retired
+  // slots (about 2.2x fewer distances on this corpus).
+  EXPECT_LT(filtered_evals * 3, overfetch_evals * 2);
+}
+
+TEST_P(HnswSearchLiveTest, ReturnsEveryLiveSlotWhenFewerThanK) {
+  auto data = RandomVectors(40, 8, 45);
+  HnswConfig config;
+  config.quantization = GetParam();
+  HnswIndex hnsw(8, Metric::kCosine, config);
+  hnsw.AddBatch(data);
+  std::vector<uint32_t> slot_map(40, kRetiredSlot);
+  for (uint32_t live : {3u, 17u, 22u, 39u}) slot_map[live] = live;
+  const auto hits = hnsw.SearchLive(data.Row(17), 10, 0, slot_map, 36, nullptr);
+  ASSERT_EQ(hits.size(), 4u);
+  EXPECT_EQ(hits[0].id, 17u);
+  for (const Neighbor& h : hits) EXPECT_NE(slot_map[h.id], kRetiredSlot);
+  slot_map[3] = slot_map[17] = slot_map[22] = slot_map[39] = kRetiredSlot;
+  EXPECT_TRUE(
+      hnsw.SearchLive(data.Row(17), 10, 0, slot_map, 40, nullptr).empty());
+}
+
+TEST_P(HnswSearchLiveTest, NothingRetiredIsTheUnfilteredSearch) {
+  auto data = RandomVectors(1500, 16, 46);
+  auto queries = RandomVectors(20, 16, 47);
+  HnswConfig config;
+  config.quantization = GetParam();
+  HnswIndex hnsw(16, Metric::kCosine, config);
+  hnsw.AddBatch(data);
+  std::vector<uint32_t> identity(data.num_rows());
+  for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    SearchStats plain, empty_map, full_map;
+    const auto expected = hnsw.SearchWithStats(queries.Row(q), 10, 0, &plain);
+    EXPECT_EQ(hnsw.SearchLive(queries.Row(q), 10, 0, {}, 0, &empty_map),
+              expected);
+    EXPECT_EQ(hnsw.SearchLive(queries.Row(q), 10, 0, identity, 0, &full_map),
+              expected);
+    EXPECT_EQ(empty_map.distance_evals, plain.distance_evals);
+    EXPECT_EQ(empty_map.visited, plain.visited);
+    EXPECT_EQ(full_map.distance_evals, plain.distance_evals);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Planes, HnswSearchLiveTest,
+                         ::testing::Values(Quantization::kNone,
+                                           Quantization::kInt8),
+                         [](const auto& info) {
+                           return std::string(QuantizationName(info.param));
+                         });
+
+class BruteForceSearchLiveTest
+    : public ::testing::TestWithParam<Quantization> {};
+
+// BruteForceIndex inherits the over-fetch default. For an exact scan that is
+// already the exact top k over the live rows: bitwise-equal to a scan of an
+// index holding only those rows (unquantized), and at the quantized planes'
+// recall gate against that oracle (int8).
+TEST_P(BruteForceSearchLiveTest, InheritedOverFetchIsExactOverLiveRows) {
+  constexpr size_t kN = 800;
+  auto data = RandomVectors(kN, 16, 48);
+  auto queries = RandomVectors(20, 16, 49);
+  BruteForceIndex exact(16, Metric::kCosine, GetParam());
+  exact.AddBatch(data);
+  size_t retired = 0;
+  const std::vector<uint32_t> slot_map = RetireQuarter(kN, 50, &retired);
+  BruteForceIndex live_only(16, Metric::kCosine);
+  std::vector<size_t> live_ids;
+  for (size_t i = 0; i < kN; ++i) {
+    if (slot_map[i] == kRetiredSlot) continue;
+    live_only.Add(data.Row(i));
+    live_ids.push_back(i);
+  }
+  size_t found = 0, total = 0;
+  for (size_t k : {1u, 10u, 700u}) {
+    for (size_t q = 0; q < queries.num_rows(); ++q) {
+      const auto filtered =
+          exact.SearchLive(queries.Row(q), k, 0, slot_map, retired, nullptr);
+      ASSERT_EQ(filtered.size(), std::min(k, kN - retired));
+      std::vector<Neighbor> oracle = live_only.Search(queries.Row(q), k);
+      for (Neighbor& n : oracle) n.id = live_ids[n.id];
+      if (GetParam() == Quantization::kNone) {
+        EXPECT_EQ(filtered, oracle) << "k=" << k << " query " << q;
+        continue;
+      }
+      std::unordered_set<size_t> truth;
+      for (const Neighbor& n : oracle) truth.insert(n.id);
+      for (const Neighbor& n : filtered) {
+        ASSERT_NE(slot_map[n.id], kRetiredSlot);
+        found += truth.count(n.id);
+      }
+      total += oracle.size();
+    }
+  }
+  if (total > 0) {
+    EXPECT_GE(static_cast<double>(found) / total, 0.95);
+  }
+  // Nothing retired: exactly Search.
+  EXPECT_EQ(exact.SearchLive(queries.Row(0), 10, 0, {}, 0, nullptr),
+            exact.Search(queries.Row(0), 10));
+}
+
+INSTANTIATE_TEST_SUITE_P(Planes, BruteForceSearchLiveTest,
+                         ::testing::Values(Quantization::kNone,
+                                           Quantization::kInt8),
+                         [](const auto& info) {
+                           return std::string(QuantizationName(info.param));
+                         });
+
+// An index that forwards only Search/SearchWithStats — the shape of a
+// tracing or third-party wrapper — inherits the over-fetch default and still
+// serves k live hits.
+class ForwardingIndex : public VectorIndex {
+ public:
+  explicit ForwardingIndex(const VectorIndex& inner) : inner_(inner) {}
+  void Add(std::span<const float>) override { std::abort(); }
+  std::vector<Neighbor> Search(std::span<const float> query,
+                               size_t k) const override {
+    return inner_.Search(query, k);
+  }
+  std::vector<Neighbor> SearchWithStats(std::span<const float> query, size_t k,
+                                        size_t ef,
+                                        SearchStats* stats) const override {
+    return inner_.SearchWithStats(query, k, ef, stats);
+  }
+  size_t size() const override { return inner_.size(); }
+  size_t SizeBytes() const override { return inner_.SizeBytes(); }
+  Metric metric() const override { return inner_.metric(); }
+
+ private:
+  const VectorIndex& inner_;
+};
+
+TEST(ForwardingIndexTest, DefaultSearchLiveOverFetchesAndFilters) {
+  auto data = RandomVectors(1000, 16, 51);
+  auto queries = RandomVectors(20, 16, 52);
+  HnswIndex hnsw(16, Metric::kCosine);
+  hnsw.AddBatch(data);
+  const ForwardingIndex forwarding(hnsw);
+  size_t retired = 0;
+  const std::vector<uint32_t> slot_map = RetireQuarter(1000, 53, &retired);
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    const auto hits =
+        forwarding.SearchLive(queries.Row(q), 10, 0, slot_map, retired, nullptr);
+    ASSERT_EQ(hits.size(), 10u);
+    for (const Neighbor& h : hits) EXPECT_NE(slot_map[h.id], kRetiredSlot);
+    // Exactly the live prefix of an over-fetched search.
+    std::vector<Neighbor> expected =
+        hnsw.SearchWithStats(queries.Row(q), 10 + retired, 0, nullptr);
+    std::erase_if(expected, [&](const Neighbor& n) {
+      return slot_map[n.id] == kRetiredSlot;
+    });
+    expected.resize(10);
+    EXPECT_EQ(hits, expected);
+    // No map: a plain forwarded search.
+    EXPECT_EQ(forwarding.SearchLive(queries.Row(q), 10, 0, {}, 0, nullptr),
+              hnsw.Search(queries.Row(q), 10));
   }
 }
 

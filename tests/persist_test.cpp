@@ -127,6 +127,28 @@ TEST(IoTest, PrimitivesRoundTrip) {
   EXPECT_EQ(r.ReadU64(&u64).code(), util::StatusCode::kOutOfRange);
 }
 
+// Empty arrays are ordinary (an HNSW with no upper layers saves an empty
+// upper-link slab): decoding one must succeed without handing memcpy the
+// null data() of an empty destination — the sanitizer CI leg runs this.
+TEST(IoTest, ZeroLengthArraysDecode) {
+  util::ByteWriter w;
+  w.WriteU32Array(std::vector<uint32_t>{});
+  w.WriteF32Array(std::vector<float>{});
+  w.WriteU64Array(std::vector<uint64_t>{});
+  util::ByteReader r(w.bytes());
+  std::vector<uint32_t> u32s{7, 8};  // a stale value must be cleared
+  std::vector<float> floats;
+  util::CowSlab<uint64_t> slab;
+  ASSERT_TRUE(r.ReadU32Array(&u32s).ok());
+  ASSERT_TRUE(r.ReadF32Array(&floats).ok());
+  // No keepalive: the owned-copy path, not the zero-copy view.
+  ASSERT_TRUE(r.ReadArrayCow(&slab, /*keepalive=*/nullptr).ok());
+  ASSERT_TRUE(r.ExpectExhausted().ok());
+  EXPECT_TRUE(u32s.empty());
+  EXPECT_TRUE(floats.empty());
+  EXPECT_EQ(slab.size(), 0u);
+}
+
 TEST(IoTest, ArtifactSectionsRoundTrip) {
   util::ArtifactWriter writer(kTestMagic, 1);
   writer.AddSection("alpha").WriteU32(123);

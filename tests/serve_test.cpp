@@ -529,6 +529,48 @@ TEST(ServeIngestTest, MergingIngestRetiresSlotsAndStaysConsistent) {
   }
 }
 
+// While retired slots are outstanding the index filters them inside its
+// search, so every row still gets min(k, live items) distinct live hits in
+// (distance, item) order — none lost to a retired slot.
+TEST(ServeIngestTest, RetiredSlotsNeverShortenMatchRows) {
+  Matcher matcher = LoadSession();
+  const Table queries = QueryTable();
+  size_t epochs_with_dead = 0;
+  for (const Table& t : IngestTables()) {
+    ASSERT_TRUE(matcher.AddTable(t).ok());
+    const Matcher::Snapshot snap = matcher.snapshot();
+    if (snap.dead_slots() == 0) continue;
+    ++epochs_with_dead;
+    for (size_t k : {size_t{1}, size_t{3}, snap.num_live_items() + 5}) {
+      MatchOptions options;
+      options.k = k;
+      auto matches = snap.MatchRecords(queries, options);
+      ASSERT_TRUE(matches.ok()) << matches.status();
+      for (size_t row = 0; row < matches->size(); ++row) {
+        const std::vector<RecordMatch>& hits = (*matches)[row];
+        ASSERT_EQ(hits.size(), std::min(k, snap.num_live_items()))
+            << "k=" << k << " row " << row;
+        std::vector<size_t> items;
+        for (size_t j = 0; j < hits.size(); ++j) {
+          ASSERT_LT(hits[j].item, snap.num_items());
+          EXPECT_FALSE(snap.item_members(hits[j].item).empty())
+              << "tombstoned item served";
+          items.push_back(hits[j].item);
+          if (j > 0) {
+            EXPECT_TRUE(hits[j - 1].distance < hits[j].distance ||
+                        (hits[j - 1].distance == hits[j].distance &&
+                         hits[j - 1].item < hits[j].item));
+          }
+        }
+        std::sort(items.begin(), items.end());
+        EXPECT_EQ(std::adjacent_find(items.begin(), items.end()), items.end())
+            << "an item served twice";
+      }
+    }
+  }
+  EXPECT_GT(epochs_with_dead, 0u);
+}
+
 // An ingest row that bridges two previously distinct items forces an
 // old-old merge. The absorbed item must become a tombstone (empty members,
 // no index slot) instead of being dropped, so every other item keeps its id
